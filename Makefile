@@ -22,9 +22,9 @@ coverage:
 serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py
 
-# Multi-worker serving throughput: the 10x gate (predict-batch on the
-# pre-fork tier vs the single-process plain-predict ceiling) plus the
-# p99 ceiling, without the rest of the bench suite.
+# Serving throughput: the absolute predict-batch floor on the two-worker
+# HTTP front end plus the plain-predict p99 ceiling, without the rest of
+# the bench suite.
 serve-bench:
 	$(PYTHON) scripts/serve_bench.py
 

@@ -2,9 +2,9 @@
 
 Measures what a deployment cares about, client-observed:
 
-* sustained throughput and tail latency of the HTTP server under a
-  repeated-mix load at 8 concurrent submitters (p50/p99/QPS land in the
-  benchmark's ``extra_info``);
+* sustained throughput and tail latency of the HTTP front end (one
+  forked worker) under a repeated-mix load at 8 concurrent submitters
+  (p50/p99/QPS land in the benchmark's ``extra_info``);
 * the single-request round trip on a warm cache;
 * the raw model call the server amortizes, for comparison.
 """
@@ -15,8 +15,8 @@ from repro.config import ServingConfig
 from repro.core.contender import Contender
 from repro.serving import (
     LoadGenerator,
+    MultiWorkerServer,
     PredictionClient,
-    PredictionServer,
     mix_pool_workload,
     save_artifact,
 )
@@ -35,7 +35,7 @@ def server(contender, tmp_path_factory):
     path = tmp_path_factory.mktemp("bench-serving") / "model.json"
     save_artifact(contender, path)
     config = ServingConfig(port=0, workers=4, batch_window=0.001)
-    with PredictionServer.from_artifact(path, config=config) as srv:
+    with MultiWorkerServer(path, config) as srv:
         yield srv
 
 

@@ -6,10 +6,11 @@ The serving subsystem (``repro.serving``) instead packs a trained model
 into a versioned JSON artifact and serves it over HTTP, so schedulers,
 admission controllers, and dashboards can share one warm model.
 
-This example runs the whole loop in one process:
+This example runs the whole loop from one script:
 
 1. train a small campaign and pack it into a model artifact,
-2. start the prediction server on an ephemeral localhost port,
+2. start the prediction server (one forked worker process) on an
+   ephemeral localhost port,
 3. predict known-template latencies over the wire (exactly equal to the
    in-process model, and cached on repetition),
 4. onboard a *new* template remotely from its isolated profile,
@@ -31,8 +32,8 @@ from repro.core.isolated import perturb_profile
 from repro.sampling import SteadyStateConfig
 from repro.serving import (
     LoadGenerator,
+    MultiWorkerServer,
     PredictionClient,
-    PredictionServer,
     RemotePredictionBackend,
     mix_pool_workload,
     save_artifact,
@@ -57,10 +58,10 @@ def main() -> None:
     info = save_artifact(contender, artifact)
     print(f"packed model {info.version} ({artifact.stat().st_size:,} bytes)")
 
-    # --- 2. Serve it.  `repro serve model.json` does this from the CLI;
-    # port 0 picks a free ephemeral port.
-    config = ServingConfig(port=0, workers=2)
-    with PredictionServer.from_artifact(artifact, config=config) as server:
+    # --- 2. Serve it.  `repro serve model.json` does this from the CLI
+    # (one worker per CPU there); port 0 picks a free ephemeral port.
+    config = ServingConfig(port=0, workers=2, worker_processes=1)
+    with MultiWorkerServer(artifact, config) as server:
         print(f"serving on http://{server.host}:{server.port}\n")
         with PredictionClient(server.host, server.port) as client:
 

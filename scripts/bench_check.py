@@ -43,6 +43,12 @@ from repro.workload.catalog import TemplateCatalog
 BASELINE_PATH = REPO / "BENCH_baseline.json"
 TOLERANCE = 0.20
 SMALL_TEMPLATES = (26, 62, 71, 22, 65, 17)
+#: Absolute floor for ``serving_predictions_per_sec``: the committed
+#: value of the retired live floor (10x the old threaded-server
+#: ceiling).  Raise it only on measured evidence; never lower it.
+SERVING_PREDICTIONS_FLOOR = 11268.0
+#: Absolute ceiling for ``serving_predict_p99_ms``.
+SERVING_P99_CEILING_MS = 50.0
 
 
 @dataclass
@@ -422,17 +428,14 @@ def measure() -> Dict[str, Dict[str, object]]:
             "higher_is_better": False,
             "max_value": 0.05,
         },
-        # The serving tier's reason to exist: the multi-worker front end
-        # driven through predict-batch must beat the single-process
-        # threaded plain-predict ceiling by at least 10x.  The floor is
-        # live — 10x whatever the ceiling measures on THIS machine in
-        # the same run, both sides interleaved round-for-round — so the
-        # gate holds on any hardware without a committed constant.
+        # Batch throughput of the HTTP front end (two forked workers,
+        # predict-batch of 64, where coalesced requests evaluate with
+        # one vectorized model pass).  An absolute floor on any machine.
         "serving_predictions_per_sec": {
             "value": serving["predictions_per_sec"],
             "unit": "predictions/sec",
             "higher_is_better": True,
-            "min_value": 10.0 * serving["ceiling_qps"],
+            "min_value": SERVING_PREDICTIONS_FLOOR,
         },
         # Interactive latency must not regress while batch throughput
         # scales: p99 of plain /v1/predict against the multi-worker
@@ -441,7 +444,7 @@ def measure() -> Dict[str, Dict[str, object]]:
             "value": serving["p99_ms"],
             "unit": "ms",
             "higher_is_better": False,
-            "max_value": 50.0,
+            "max_value": SERVING_P99_CEILING_MS,
         },
         # Prediction-driven scheduling hot paths: how fast the
         # predictive policy ranks a queue, and how fast the replay
@@ -580,8 +583,9 @@ def _residual_ingestion_overhead(
 ) -> float:
     # Amortized cost of one ResidualMonitor.ingest (the work /v1/observe
     # adds on top of plain request handling, metrics registry attached
-    # as in serving) relative to the floor of one served /v1/predict
-    # request.  The denominator is the *request* cost, not a bare
+    # as in serving) relative to the floor of one plain /v1/predict
+    # round trip against the HTTP front end with one forked worker.
+    # The denominator is the *request* cost, not a bare
     # Contender.predict_known call: the monitor rides on the serving
     # path, where HTTP handling and instruments dominate, and that is
     # the path the <= 5% ceiling protects.
@@ -591,8 +595,8 @@ def _residual_ingestion_overhead(
     from repro.core.contender import Contender
     from repro.lifecycle.monitor import ResidualMonitor
     from repro.serving.client import PredictionClient
+    from repro.serving.frontend import MultiWorkerServer
     from repro.serving.registry import save_artifact
-    from repro.serving.server import PredictionServer
 
     catalog = TemplateCatalog().subset(SMALL_TEMPLATES[:4])
     model = Contender(
@@ -609,8 +613,10 @@ def _residual_ingestion_overhead(
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         save_artifact(model, path)
-        server = PredictionServer.from_artifact(
-            path, config=ServingConfig(port=0), lifecycle=LifecycleConfig()
+        server = MultiWorkerServer(
+            path,
+            ServingConfig(port=0, worker_processes=1),
+            lifecycle=LifecycleConfig(),
         )
         with server:
             client = PredictionClient("127.0.0.1", server.port)
@@ -642,26 +648,22 @@ def _residual_ingestion_overhead(
 def _serving_throughput_metrics(
     rounds: int = 4, requests: int = 2000, batch: int = 64
 ) -> Dict[str, float]:
-    """Multi-worker serving tier throughput vs the single-process ceiling.
+    """Throughput and interactive latency of the HTTP front end.
 
-    Starts both front ends over the same artifact and alternates
-    measurement rounds between them, so machine-load drift lands on both
-    sides of the ratio.  The ceiling is the threaded single-process
-    server driven with plain ``/v1/predict`` round trips — the old
-    tier's best case — and the tier number is the multi-worker server
-    driven through ``/v1/predict-batch``, where coalesced requests
-    evaluate with one vectorized model pass.  The p99 is taken from
-    plain predicts against the multi-worker tier (interactive latency
-    must not regress while batch throughput scales).
+    Two forked workers serve one artifact.  ``predictions_per_sec`` is
+    the best round of ``/v1/predict-batch`` traffic, where coalesced
+    requests evaluate with one vectorized model pass; ``p99_ms`` is the
+    best round's p99 of plain ``/v1/predict`` round trips, interleaved
+    with the batch rounds (interactive latency must not regress while
+    batch throughput scales).
     """
     import tempfile
 
     from repro.config import ServingConfig
     from repro.core.contender import Contender
     from repro.serving.client import LoadGenerator, mix_pool_workload
-    from repro.serving.frontend import MultiWorkerServer, multiworker_supported
+    from repro.serving.frontend import MultiWorkerServer
     from repro.serving.registry import save_artifact
-    from repro.serving.server import PredictionServer
 
     catalog = TemplateCatalog().subset(SMALL_TEMPLATES[:4])
     model = Contender(
@@ -678,53 +680,25 @@ def _serving_throughput_metrics(
         ids, requests=requests, pool_size=32, mpl=2, seed=0
     )
 
-    supported, reason = multiworker_supported()
-    workers = 2 if supported else 1
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         save_artifact(model, path)
-        threaded = PredictionServer.from_artifact(
-            path, config=ServingConfig(port=0)
-        ).start()
-        tier = (
-            MultiWorkerServer(
-                path, ServingConfig(port=0, worker_processes=workers)
-            ).start()
-            if supported
-            else None
-        )
-        tier_host, tier_port = (
-            (tier.host, tier.port) if tier else (threaded.host, threaded.port)
-        )
-        try:
-            best_ceiling = best_tier = best_ratio = 0.0
+        config = ServingConfig(port=0, worker_processes=2)
+        with MultiWorkerServer(path, config) as server:
+            best_tier = 0.0
             best_p99 = float("inf")
             for i in range(rounds + 1):
-                ceiling = LoadGenerator(
-                    threaded.host, threaded.port, submitters=4
-                ).run(workload)
                 batched = LoadGenerator(
-                    tier_host, tier_port, submitters=4, batch_size=batch
+                    server.host, server.port, submitters=4, batch_size=batch
                 ).run(workload)
                 plain = LoadGenerator(
-                    tier_host, tier_port, submitters=4
+                    server.host, server.port, submitters=4
                 ).run(workload)
                 if i == 0:  # warmup round: sockets, caches, workers
                     continue
-                best_ceiling = max(best_ceiling, ceiling.qps)
                 best_tier = max(best_tier, batched.qps)
-                best_ratio = max(best_ratio, batched.qps / ceiling.qps)
                 best_p99 = min(best_p99, plain.p99_ms)
-        finally:
-            threaded.shutdown()
-            if tier is not None:
-                tier.shutdown()
-    return {
-        "ceiling_qps": best_ceiling,
-        "predictions_per_sec": best_tier,
-        "speedup": best_ratio,
-        "p99_ms": best_p99,
-    }
+    return {"predictions_per_sec": best_tier, "p99_ms": best_p99}
 
 
 def _speedup(metrics) -> float:

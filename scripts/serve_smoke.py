@@ -3,7 +3,8 @@
 
 Exercises the full deployment path in one process tree: collect a small
 training campaign, pack it into a model artifact, start the HTTP
-prediction server on an ephemeral port, issue 50 predictions through
+prediction server (one forked worker) on an ephemeral port, issue 50
+predictions through
 the client, and check a sample against the in-process model.  Exits
 non-zero (with a message on stderr) on any failure, so it can gate CI:
 
@@ -24,8 +25,8 @@ from repro.core.contender import Contender
 from repro.core.training import collect_training_data
 from repro.sampling.steady_state import SteadyStateConfig
 from repro.serving import (
+    MultiWorkerServer,
     PredictionClient,
-    PredictionServer,
     mix_pool_workload,
     save_artifact,
 )
@@ -51,7 +52,7 @@ def main() -> int:
         print(f"serve-smoke: packed {info.version} -> {artifact.name}")
 
         config = ServingConfig(port=0, workers=2, batch_window=0.001)
-        with PredictionServer.from_artifact(artifact, config=config) as server:
+        with MultiWorkerServer(artifact, config) as server:
             print(f"serve-smoke: serving on {server.host}:{server.port}")
             workload = mix_pool_workload(
                 contender.template_ids,

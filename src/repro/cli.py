@@ -183,9 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="HTTP worker processes sharing the port (default: CPU "
-        "count); falls back to the threaded single-process server "
-        "when fork/SO_REUSEPORT are unavailable",
+        help="HTTP worker processes forked to share the port (default: "
+        "CPU count; 1 forks one worker); serving requires fork",
     )
     p.add_argument(
         "--batch-workers",
@@ -682,57 +681,31 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import os
     from dataclasses import replace
 
-    from .serving.frontend import MultiWorkerServer, multiworker_supported
-    from .serving.server import PredictionServer
+    from .serving.frontend import MultiWorkerServer
 
     config = _serving_config(args)
     if args.workers is None:
         # Default the front end to one worker process per CPU.
         config = replace(config, worker_processes=os.cpu_count() or 1)
 
-    if config.worker_processes > 1:
-        supported, reason = multiworker_supported()
-        if supported:
-            server = MultiWorkerServer(
-                args.artifact, config=config, verify=args.verify
-            )
-            server.start()
-            print(
-                f"serving {args.artifact} with "
-                f"{server.worker_count} workers on "
-                f"http://{server.host}:{server.port} — Ctrl-C to stop"
-            )
-            try:
-                server.serve_forever()
-            except KeyboardInterrupt:
-                print("\nshutting down")
-            finally:
-                server.shutdown()
-            return 0
-        print(
-            f"multi-worker serving unavailable ({reason}); "
-            "falling back to the threaded single-process server"
-        )
-
-    server = PredictionServer.from_artifact(
-        args.artifact, config=config, verify=args.verify
-    )
-    version = server.registry.entry("default").version
-    print(
-        f"serving {args.artifact} ({version}) on "
-        f"http://{server.host}:{server.port} — Ctrl-C to stop"
-    )
+    server = MultiWorkerServer(args.artifact, config=config, verify=args.verify)
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
+        server.start()
+        print(
+            f"serving {args.artifact} ({server.control.read().version}) with "
+            f"{server.worker_count} worker(s) on "
+            f"http://{server.host}:{server.port} — Ctrl-C to stop"
+        )
+        server.serve_forever()  # returns on Ctrl-C or SIGTERM
         print("\nshutting down")
+    finally:
         server.shutdown()
     return 0
 
 
 def _cmd_load_test(args: argparse.Namespace) -> int:
     from .serving.client import LoadGenerator, PredictionClient, mix_pool_workload
-    from .serving.server import PredictionServer
+    from .serving.frontend import MultiWorkerServer
 
     if (args.artifact is None) == (args.url is None):
         print(
@@ -755,7 +728,7 @@ def _cmd_load_test(args: argparse.Namespace) -> int:
 
         from .config import DEFAULT_CONFIG
 
-        server = PredictionServer.from_artifact(
+        server = MultiWorkerServer(
             args.artifact, config=replace(DEFAULT_CONFIG.serving, port=0)
         ).start()
         host, port = server.host, server.port

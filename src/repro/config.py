@@ -220,9 +220,8 @@ class ServingConfig:
         workers: Batch-worker threads draining the request queue
             (within one process).
         worker_processes: Pre-fork HTTP worker processes sharing the
-            listening port.  1 (the default) keeps the single-process
-            threaded server; higher values require ``fork`` support and
-            fall back to 1 where the platform lacks it.
+            listening port; 1 (the default) forks exactly one.  Serving
+            requires ``fork``; platforms without it cannot serve.
         batch_window: Seconds a worker lingers after the first request of
             a batch to coalesce concurrent arrivals into one model call.
         max_batch: Most requests a single batch may absorb.

@@ -8,17 +8,18 @@ prediction is what makes this affordable, Sec. 5.5):
 * :mod:`repro.serving.registry` — versioned JSON model artifacts with
   schema checks, plus an in-memory registry with hot reload;
 * :mod:`repro.serving.app` — the transport-agnostic serving core
-  (routing, caching, batching, instrumentation, error mapping) shared by
-  both front ends (``predict``, ``predict-batch``, ``predict-new``,
+  (routing, caching, batching, instrumentation, error mapping) behind
+  every endpoint (``predict``, ``predict-batch``, ``predict-new``,
   ``admit``, ``observe``, ``explain``, ``health``, ``stats``,
-  ``reload``);
-* :mod:`repro.serving.server` — a threaded stdlib-HTTP front end over a
-  batching worker pool;
-* :mod:`repro.serving.frontend` — the pre-fork multi-worker asyncio
-  front end: N processes accepting on a shared ``SO_REUSEPORT`` port,
+  ``reload``); call :meth:`ServingApp.handle` directly to serve
+  in-process, with no socket;
+* :mod:`repro.serving.frontend` — the one HTTP transport, a pre-fork
+  asyncio front end: N forked worker processes (``worker_processes=1``
+  forks exactly one) accepting on a shared ``SO_REUSEPORT`` port,
   mapping one shared-memory model (:mod:`repro.serving.shm`) read-only,
   with seqlock-published hot-reload generations and residual fan-in to a
-  single lifecycle monitor;
+  single lifecycle monitor.  It needs ``fork``; platforms without it get
+  a :class:`~repro.errors.ServingError`, not a different server;
 * :mod:`repro.serving.batching` / :mod:`repro.serving.cache` — request
   coalescing and LRU+TTL prediction memoization for repeated mixes;
 * :mod:`repro.serving.client` — the RPC client, a remote admission
@@ -60,7 +61,6 @@ from .registry import (
     model_from_doc,
     save_artifact,
 )
-from .server import DEFAULT_MODEL_NAME, PredictionServer
 from .shm import AttachedModel, ControlBlock, PackedModel, attach_model, pack_model
 
 __all__ = [
@@ -73,7 +73,6 @@ __all__ = [
     "BatchStats",
     "CacheStats",
     "ControlBlock",
-    "DEFAULT_MODEL_NAME",
     "ExplainRequest",
     "ExplainResponse",
     "HealthResponse",
@@ -91,7 +90,6 @@ __all__ = [
     "PredictResponse",
     "PredictionCache",
     "PredictionClient",
-    "PredictionServer",
     "RegistryEntry",
     "RegistryModelProvider",
     "RemotePredictionBackend",

@@ -3,13 +3,13 @@
 :class:`ServingApp` is everything the prediction service does between a
 parsed HTTP request and a response document — the batched/cached predict
 path, admission, lifecycle observation, health/stats/reload, metrics,
-error mapping — with **no** socket code.  Two transports drive it:
-
-* the single-process threaded server (:mod:`repro.serving.server`),
-  where every handler thread calls :meth:`ServingApp.handle`;
-* the pre-fork asyncio front end (:mod:`repro.serving.frontend`), where
-  each worker process owns one app over a shared-memory model and the
-  hot endpoints await batcher futures without blocking the event loop.
+error mapping — with **no** socket code.  The one HTTP transport is the
+pre-fork asyncio front end (:mod:`repro.serving.frontend`): each worker
+process owns one app over a shared-memory model, the hot endpoints await
+batcher futures without blocking the event loop, and everything else
+goes through :meth:`ServingApp.handle`.  In-process callers (tests,
+benchmarks, embedding) call :meth:`ServingApp.handle` directly over a
+:class:`RegistryModelProvider`.
 
 The app reads its model through a :class:`ModelProvider` — a snapshot
 interface that hides whether the model lives in a local
@@ -783,7 +783,8 @@ class ServingApp:
         return 500, {"error": str(exc), "type": "internal"}, "internal"
 
     def handle(self, verb: str, path: str, body: bytes) -> AppResponse:
-        """Serve one request end to end (synchronous transports)."""
+        """Serve one request end to end, synchronously (in-process
+        callers, and the HTTP workers' cold endpoints)."""
         started = self.begin_request()
         op = ["unknown"]
         error_type: Optional[str] = None

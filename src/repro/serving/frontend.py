@@ -1,8 +1,11 @@
-"""The pre-fork multi-worker HTTP front end.
+"""The HTTP front end: pre-fork asyncio workers over one shared model.
 
-:class:`MultiWorkerServer` forks N worker processes that accept on a
-shared port and serve the same :class:`~repro.serving.app.ServingApp`
-core as the single-process server:
+:class:`MultiWorkerServer` is the only HTTP server.  It forks N worker
+processes (``worker_processes=1`` forks exactly one, named
+``serve-worker-0``) that accept on a shared port, each running a
+:class:`~repro.serving.app.ServingApp` core.  It needs ``fork``; on a
+platform without it the constructor raises
+:class:`~repro.errors.ServingError`:
 
 * **Sockets** — each worker opens its own listening socket with
   ``SO_REUSEPORT`` (the kernel load-balances connections across the
@@ -29,7 +32,9 @@ core as the single-process server:
   ``model_version``* — holds because all per-request reads come from one
   :class:`~repro.serving.app.ModelSnapshot`.
 * **Inside a worker** — an asyncio event loop parses HTTP/1.1
-  keep-alive requests with no per-connection thread; the hot endpoints
+  keep-alive requests with no per-connection thread; framing it cannot
+  honour (a bad ``Content-Length``, a line over the stream limit)
+  answers 400 and closes the connection; the hot endpoints
   (``predict``, ``predict-batch``) await batcher futures on the loop,
   everything else delegates to the app's synchronous handler on a small
   executor.  Coalesced batches evaluate with one vectorized model pass
@@ -58,7 +63,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..config import LifecycleConfig, ServingConfig
-from ..errors import ServingError
+from ..errors import ProtocolError, ServingError
 from .app import AppResponse, ModelSnapshot, ServingApp
 from .protocol import (
     BatchPredictRequest,
@@ -94,8 +99,8 @@ _STATUS_TEXT = {
 def multiworker_supported() -> Tuple[bool, str]:
     """Whether this platform can run the pre-fork front end.
 
-    Returns ``(supported, reason)``; *reason* explains a ``False`` (the
-    CLI prints it before falling back to the threaded server).
+    Returns ``(supported, reason)``; *reason* explains a ``False``
+    (:class:`MultiWorkerServer` raises it as a :class:`ServingError`).
     """
     if not hasattr(os, "fork"):
         return False, "platform has no fork()"
@@ -329,6 +334,39 @@ async def _respond_predict_batch(app: ServingApp, body: bytes) -> AppResponse:
     return response
 
 
+async def _read_request(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+    """One request as ``(method, path, headers, body)``.
+
+    Returns ``None`` at the end of the stream; raises
+    :class:`~repro.errors.ProtocolError` on framing it cannot honour.
+    """
+    try:
+        line = await reader.readline()
+        if not line or line in (b"\r\n", b"\n"):
+            return None
+        parts = line.decode("latin-1").rstrip("\r\n").split(" ", 2)
+        if len(parts) != 3:
+            raise ProtocolError("malformed request line")
+        headers: Dict[str, str] = {}
+        while True:
+            header = await reader.readline()
+            if not header or header in (b"\r\n", b"\n"):
+                break
+            name, _, value = header.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+    except ValueError:
+        # A line overran the StreamReader limit (64 KiB by default).
+        raise ProtocolError("request line or header too long") from None
+    length = headers.get("content-length") or "0"
+    if not length.isdecimal():
+        raise ProtocolError(f"malformed Content-Length {length!r}")
+    size = int(length)
+    body = await reader.readexactly(size) if size else b""
+    return parts[0], parts[1], headers, body
+
+
 async def _serve_connection(
     app: ServingApp, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
 ) -> None:
@@ -338,34 +376,18 @@ async def _serve_connection(
     loop = asyncio.get_running_loop()
     try:
         while True:
-            line = await reader.readline()
-            if not line or line in (b"\r\n", b"\n"):
-                break
             try:
-                method, path, _version = (
-                    line.decode("latin-1").rstrip("\r\n").split(" ", 2)
-                )
-            except ValueError:
+                request = await _read_request(reader)
+            except ProtocolError as exc:
+                doc = {"error": str(exc), "type": "protocol"}
                 writer.write(
-                    _render(
-                        AppResponse.from_doc(
-                            400,
-                            {"error": "malformed request line", "type": "protocol"},
-                        ),
-                        keep_alive=False,
-                    )
+                    _render(AppResponse.from_doc(400, doc), keep_alive=False)
                 )
                 await writer.drain()
                 break
-            headers: Dict[str, str] = {}
-            while True:
-                header = await reader.readline()
-                if not header or header in (b"\r\n", b"\n"):
-                    break
-                name, _, value = header.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", 0) or 0)
-            body = await reader.readexactly(length) if length else b""
+            if request is None:
+                break
+            method, path, headers, body = request
             keep_alive = headers.get("connection", "").lower() != "close"
 
             stripped = path.rstrip("/")
@@ -390,6 +412,10 @@ async def _serve_connection(
         TimeoutError,
     ):
         pass  # client hung up; nothing to answer
+    except asyncio.CancelledError:
+        # Worker shutdown cancels idle keep-alive connections; ending the
+        # task normally keeps asyncio from logging each one as an error.
+        pass
     finally:
         try:
             writer.close()
@@ -561,7 +587,7 @@ class MultiWorkerServer:
     ):
         supported, reason = multiworker_supported()
         if not supported:
-            raise ServingError(f"multi-worker serving unavailable: {reason}")
+            raise ServingError(f"HTTP serving requires fork: {reason}")
         self._artifact_path = Path(artifact_path)
         self._config = config if config is not None else ServingConfig()
         self._lifecycle = lifecycle

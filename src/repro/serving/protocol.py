@@ -569,9 +569,9 @@ class HealthResponse:
         requests_served: Total requests answered (all endpoints).
         isolated_latencies: ``l_min`` per template — lets remote
             admission clients reason about SLAs without a second RPC.
-        workers: Worker-process liveness (multi-worker serving only):
+        workers: Worker-process liveness (served over HTTP):
             worker count, alive count, and per-worker pid/heartbeat/
-            request counters.  ``None`` under the single-process server.
+            request counters.  ``None`` when an app is driven in-process.
     """
 
     status: str

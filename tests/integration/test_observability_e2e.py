@@ -2,9 +2,13 @@
 
 The acceptance path for the observability layer: run the simulator, run
 a (tiny) sampling campaign, and serve predictions, all reporting into a
-single shared :class:`Registry` — then scrape the server's ``/metrics``
-and find every layer's families in one Prometheus exposition.
+single shared :class:`Registry` — then scrape the serving app's
+``/metrics`` and find every layer's families in one Prometheus
+exposition.  The serving app runs in this process: a forked HTTP worker
+would report into its own copy of the registry.
 """
+
+import json
 
 import pytest
 
@@ -22,7 +26,12 @@ from repro.obs.export import render_json
 from repro.obs.metrics import Registry
 from repro.obs.tracing import TraceRecorder
 from repro.sampling.steady_state import SteadyStateConfig
-from repro.serving import PredictionClient, PredictionServer, save_artifact
+from repro.serving import (
+    ModelRegistry,
+    RegistryModelProvider,
+    ServingApp,
+    save_artifact,
+)
 from repro.units import MB
 from repro.workload.catalog import TemplateCatalog
 
@@ -57,17 +66,23 @@ def scrape(small_contender, tmp_path_factory):
         tracer=tracer,
     )
 
-    # Layer 3: the prediction server, scraped over HTTP.
+    # Layer 3: the serving app, scraped through its /metrics route.
     path = tmp_path_factory.mktemp("obs-e2e") / "model.json"
     save_artifact(small_contender, path)
-    config = ServingConfig(port=0, workers=1, batch_window=0.0)
-    with PredictionServer.from_artifact(
-        path, config=config, metrics=registry
-    ) as srv:
-        with PredictionClient(srv.host, srv.port) as cli:
-            cli.predict(26, (26, 65))
-            cli.health()
-            text = cli.metrics_text()
+    models = ModelRegistry()
+    models.register("default", path)
+    app = ServingApp(
+        RegistryModelProvider(models, "default"),
+        config=ServingConfig(workers=1, batch_window=0.0),
+        metrics=registry,
+    )
+    try:
+        body = json.dumps({"primary": 26, "mix": [26, 65]}).encode()
+        assert app.handle("POST", "/v1/predict", body).status == 200
+        assert app.handle("GET", "/v1/health", b"").status == 200
+        text = app.handle("GET", "/metrics", b"").body.decode("utf-8")
+    finally:
+        app.close()
     return registry, tracer, text
 
 

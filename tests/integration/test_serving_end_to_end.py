@@ -1,7 +1,8 @@
 """End-to-end serving tests: artifact → server → concurrent load client.
 
-The acceptance path of the serving subsystem: start a server from a
-saved registry artifact, drive it with the load client at 8 concurrent
+The acceptance path of the serving subsystem: start the HTTP front end
+(one forked worker unless a test says otherwise) from a saved registry
+artifact, drive it with the load client at 8 concurrent
 submitters, and require (a) served predictions that match direct
 ``Contender.predict`` output exactly, (b) a cache hit rate above 50 % on
 a repeated-mix workload, and (c) a throughput report with p50/p99/QPS.
@@ -18,8 +19,8 @@ from repro.core.isolated import perturb_profile
 from repro.errors import ModelError, ProtocolError
 from repro.serving import (
     LoadGenerator,
+    MultiWorkerServer,
     PredictionClient,
-    PredictionServer,
     RemotePredictionBackend,
     mix_pool_workload,
     save_artifact,
@@ -38,7 +39,7 @@ def artifact_path(small_contender, tmp_path_factory):
 @pytest.fixture(scope="module")
 def server(artifact_path):
     config = ServingConfig(port=0, workers=2, batch_window=0.001)
-    with PredictionServer.from_artifact(artifact_path, config=config) as srv:
+    with MultiWorkerServer(artifact_path, config) as srv:
         yield srv
 
 
@@ -222,7 +223,7 @@ def test_hot_reload_swaps_model_and_clears_cache(
     path = tmp_path / "hot.json"
     save_artifact(small_contender, path)
     config = ServingConfig(port=0, workers=1, batch_window=0.0)
-    with PredictionServer.from_artifact(path, config=config) as srv:
+    with MultiWorkerServer(path, config) as srv:
         with PredictionClient(srv.host, srv.port) as cli:
             before = cli.health().model_version
             cli.predict(26, (26, 65))
@@ -277,8 +278,10 @@ def test_reload_under_concurrent_traffic_never_mixes_models(
 
     path = tmp_path / "live.json"
     path.write_bytes(blobs[0])
-    config = ServingConfig(port=0, workers=2, batch_window=0.0)
-    with PredictionServer.from_artifact(path, config=config) as srv:
+    config = ServingConfig(
+        port=0, workers=2, batch_window=0.0, worker_processes=2
+    )
+    with MultiWorkerServer(path, config) as srv:
         stop = threading.Event()
         failures = []
 
@@ -310,7 +313,7 @@ def test_graceful_shutdown_refuses_new_connections(artifact_path):
     from repro.errors import ServingError
 
     config = ServingConfig(port=0, workers=1)
-    server = PredictionServer.from_artifact(artifact_path, config=config)
+    server = MultiWorkerServer(artifact_path, config)
     server.start()
     with PredictionClient(server.host, server.port) as cli:
         assert cli.health().status == "ok"

@@ -1,4 +1,10 @@
-"""The load generator, workload builder, and remote admission backend."""
+"""The load generator, workload builder, and remote admission backend.
+
+The server side is a :class:`ServingApp` behind the front end's
+connection handler, served from this process (see ``conftest.py``).
+"""
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,7 +13,6 @@ from repro.errors import ModelError, ServingError
 from repro.serving import (
     LoadGenerator,
     PredictionClient,
-    PredictionServer,
     RemotePredictionBackend,
     mix_pool_workload,
     save_artifact,
@@ -18,12 +23,22 @@ TEMPLATES = (22, 26, 62, 65, 71)
 
 
 @pytest.fixture(scope="module")
-def server(small_contender, tmp_path_factory):
+def artifact_path(small_contender, tmp_path_factory):
     path = tmp_path_factory.mktemp("load") / "model.json"
     save_artifact(small_contender, path)
-    config = ServingConfig(port=0, workers=2, batch_window=0.0)
-    with PredictionServer.from_artifact(path, config=config) as srv:
-        yield srv
+    return path
+
+
+@pytest.fixture(scope="module")
+def server(artifact_path, make_app, serve_http):
+    app = make_app(
+        artifact_path, config=ServingConfig(workers=2, batch_window=0.0)
+    )
+    try:
+        with serve_http(app) as port:
+            yield SimpleNamespace(host="127.0.0.1", port=port)
+    finally:
+        app.close()
 
 
 def test_mix_pool_workload_draws_repeated_mixes():
@@ -128,3 +143,19 @@ def test_remote_admission_backend(server):
         assert backend.isolated_latency(26) == backend.isolated_latency(26)
         with pytest.raises(ModelError, match="does not know"):
             backend.isolated_latency(987654)
+
+
+def test_metrics_text_reports_disabled_metrics(
+    artifact_path, make_app, serve_http
+):
+    app = make_app(
+        artifact_path,
+        config=ServingConfig(workers=1, batch_window=0.0, metrics_enabled=False),
+    )
+    try:
+        with serve_http(app) as port:
+            with PredictionClient("127.0.0.1", port) as client:
+                with pytest.raises(ServingError, match="metrics_enabled"):
+                    client.metrics_text()
+    finally:
+        app.close()

@@ -9,7 +9,6 @@ from repro.errors import ProtocolError, ServingError
 from repro.serving import (
     ModelRegistry,
     PredictionClient,
-    PredictionServer,
     RegistryModelProvider,
     ServingApp,
     save_artifact,
@@ -91,10 +90,9 @@ def test_explain_backend_is_lazy_and_reused(app):
     assert app._explain_parts() is first
 
 
-def test_client_explain_round_trip(artifact_path):
-    config = ServingConfig(port=0, workers=1, batch_window=0.0)
-    with PredictionServer.from_artifact(artifact_path, config=config) as srv:
-        with PredictionClient(srv.host, srv.port) as cli:
+def test_client_explain_round_trip(app, serve_http):
+    with serve_http(app) as port:
+        with PredictionClient("127.0.0.1", port) as cli:
             response = cli.explain(MIX, top_k=2)
             assert response.model_version
             assert response.top[26][0] == 71

@@ -414,6 +414,72 @@ def test_serve_connection_keep_alive_and_routing(app):
     assert json.loads(batch[1])["items"]
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"POST /v1/predict HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+        b"POST /v1/predict HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        b"GET /v1/health HTTP/1.1\r\nX-Padding: "
+        + b"a" * (64 * 1024 + 1)
+        + b"\r\n\r\n",
+    ],
+    ids=["content-length-not-a-number", "content-length-negative", "header-over-64k"],
+)
+def test_serve_connection_answers_malformed_framing_with_400(app, raw):
+    async def drive():
+        server = await asyncio.start_server(
+            lambda r, w: _serve_connection(app, r, w),
+            host="127.0.0.1",
+            port=0,
+        )
+        port = server.sockets[0].getsockname()[1]
+        try:
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(raw)
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.read(), timeout=10.0)
+            writer.close()
+            await writer.wait_closed()
+            return reply
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    reply = asyncio.run(drive())
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+    assert b"Connection: close" in head
+    assert json.loads(body)["type"] == "protocol"
+
+
+def test_serve_connection_ends_quietly_when_cancelled(app):
+    async def drive():
+        server = await asyncio.start_server(
+            lambda r, w: _serve_connection(app, r, w),
+            host="127.0.0.1",
+            port=0,
+        )
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        await asyncio.sleep(0.05)  # the handler is now idle in readline
+        current = asyncio.current_task()
+        handlers = [t for t in asyncio.all_tasks() if t is not current]
+        for task in handlers:
+            task.cancel()
+        outcomes = await asyncio.gather(*handlers, return_exceptions=True)
+        closed = await asyncio.wait_for(reader.read(), timeout=5.0)
+        writer.close()
+        server.close()
+        await server.wait_closed()
+        return outcomes, closed
+
+    outcomes, closed = asyncio.run(drive())
+    # Shutdown cancels idle keep-alive handlers: each ends normally
+    # (nothing for asyncio to log) and the client sees a clean EOF.
+    assert outcomes == [None]
+    assert closed == b""
+
+
 # -- the worker main loop ---------------------------------------------
 
 
@@ -592,6 +658,21 @@ def test_multiworker_end_to_end_single_worker(artifact_path):
             assert health.workers is not None
             # The worker-side reload answers no-op via the shared path.
             assert cli.reload()["reloaded"] is False
+
+
+def test_single_worker_forks_exactly_one_named_child(artifact_path):
+    import multiprocessing
+
+    config = ServingConfig(port=0, worker_processes=1)
+    with MultiWorkerServer(artifact_path, config) as server:
+        children = [
+            p
+            for p in multiprocessing.active_children()
+            if p.name.startswith("serve-worker")
+        ]
+        assert [p.name for p in children] == ["serve-worker-0"]
+        assert children[0].is_alive()
+    assert not children[0].is_alive()
 
 
 def test_multiworker_start_twice_is_an_error(artifact_path):

@@ -1,14 +1,18 @@
-"""The serving ``/metrics`` endpoint and its per-endpoint instruments."""
+"""The serving ``/metrics`` endpoint and its per-endpoint instruments.
 
-import http.client
+Driven in-process through :meth:`ServingApp.handle`, so the shared
+metrics registry is the test's own object.
+"""
+
+import contextlib
+import json
 
 import pytest
 
 from repro.config import ServingConfig
-from repro.errors import ModelError, ServingError
 from repro.obs.export import CONTENT_TYPE_LATEST
 from repro.obs.metrics import Registry
-from repro.serving import PredictionClient, PredictionServer, save_artifact
+from repro.serving import save_artifact
 
 
 @pytest.fixture(scope="module")
@@ -18,12 +22,32 @@ def artifact_path(small_contender, tmp_path_factory):
     return path
 
 
-def _serve(artifact_path, metrics=None, **config_kwargs):
-    defaults = dict(port=0, workers=1, batch_window=0.0)
-    defaults.update(config_kwargs)
-    return PredictionServer.from_artifact(
-        artifact_path, config=ServingConfig(**defaults), metrics=metrics
-    )
+@pytest.fixture()
+def serve(artifact_path, make_app):
+    @contextlib.contextmanager
+    def serve(metrics=None, **config_kwargs):
+        defaults = dict(workers=1, batch_window=0.0)
+        defaults.update(config_kwargs)
+        app = make_app(
+            artifact_path, config=ServingConfig(**defaults), metrics=metrics
+        )
+        try:
+            yield app
+        finally:
+            app.close()
+
+    return serve
+
+
+def _predict(app, primary, mix):
+    body = json.dumps({"primary": primary, "mix": list(mix)}).encode()
+    return app.handle("POST", "/v1/predict", body)
+
+
+def _metrics_text(app):
+    response = app.handle("GET", "/metrics", b"")
+    assert response.status == 200
+    return response.body.decode("utf-8")
 
 
 def _metric_value(text, name, **labels):
@@ -42,16 +66,13 @@ def _metric_value(text, name, **labels):
     raise AssertionError(f"{name}{labels} not found in exposition:\n{text}")
 
 
-def test_metrics_endpoint_serves_prometheus_text(small_contender, artifact_path):
-    with _serve(artifact_path) as srv:
-        with PredictionClient(srv.host, srv.port) as cli:
-            cli.predict(26, (26, 65))
-            cli.predict(26, (26, 65))  # cache hit
-            cli.health()
-            with pytest.raises(ModelError):
-                cli.predict(12345, (12345, 26))
-
-            text = cli.metrics_text()
+def test_metrics_endpoint_serves_prometheus_text(serve):
+    with serve() as app:
+        assert _predict(app, 26, (26, 65)).status == 200
+        assert _predict(app, 26, (26, 65)).status == 200  # cache hit
+        assert app.handle("GET", "/v1/health", b"").status == 200
+        assert _predict(app, 12345, (12345, 26)).status == 422
+        text = _metrics_text(app)
 
     assert _metric_value(text, "serving_requests_total", endpoint="predict") == 3
     assert _metric_value(text, "serving_requests_total", endpoint="health") == 1
@@ -70,36 +91,26 @@ def test_metrics_endpoint_serves_prometheus_text(small_contender, artifact_path)
     assert _metric_value(text, "serving_batch_size_count") >= 1
 
 
-def test_metrics_content_type_and_unknown_endpoint_count(artifact_path):
-    with _serve(artifact_path) as srv:
-        conn = http.client.HTTPConnection(srv.host, srv.port, timeout=30.0)
-        try:
-            conn.request("GET", "/metrics")
-            response = conn.getresponse()
-            body = response.read().decode("utf-8")
-            assert response.status == 200
-            assert response.getheader("Content-Type") == CONTENT_TYPE_LATEST
-            assert "# TYPE serving_requests_total counter" in body
+def test_metrics_content_type_and_unknown_endpoint_count(serve):
+    with serve() as app:
+        response = app.handle("GET", "/metrics", b"")
+        assert response.status == 200
+        assert response.content_type == CONTENT_TYPE_LATEST
+        assert "# TYPE serving_requests_total counter" in response.body.decode()
 
-            conn.request("GET", "/nope")
-            missing = conn.getresponse()
-            missing.read()
-            assert missing.status == 404
-        finally:
-            conn.close()
-        with PredictionClient(srv.host, srv.port) as cli:
-            text = cli.metrics_text()
+        missing = app.handle("GET", "/nope", b"")
+        assert missing.status == 404
+        text = _metrics_text(app)
     assert _metric_value(text, "serving_requests_total", endpoint="unknown") == 1
     assert _metric_value(text, "serving_errors_total", type="not_found") == 1
 
 
-def test_metrics_agree_with_stats_endpoint(artifact_path):
-    with _serve(artifact_path) as srv:
-        with PredictionClient(srv.host, srv.port) as cli:
-            for other in (65, 71, 65):
-                cli.predict(26, (26, other))
-            stats = cli.stats()
-            text = cli.metrics_text()
+def test_metrics_agree_with_stats_endpoint(serve):
+    with serve() as app:
+        for other in (65, 71, 65):
+            assert _predict(app, 26, (26, other)).status == 200
+        stats = json.loads(app.handle("GET", "/v1/stats", b"").body)
+        text = _metrics_text(app)
     assert stats["metrics_enabled"] is True
     assert _metric_value(text, "serving_cache_hits") == stats["cache"]["hits"]
     assert _metric_value(text, "serving_cache_size") == stats["cache"]["size"]
@@ -109,23 +120,21 @@ def test_metrics_agree_with_stats_endpoint(artifact_path):
     )
 
 
-def test_shared_registry_is_used_verbatim(artifact_path):
+def test_shared_registry_is_used_verbatim(serve):
     reg = Registry()
     reg.counter("unrelated_total").inc()
-    with _serve(artifact_path, metrics=reg) as srv:
-        assert srv.metrics is reg
-        with PredictionClient(srv.host, srv.port) as cli:
-            cli.health()
-            text = cli.metrics_text()
+    with serve(metrics=reg) as app:
+        assert app.metrics is reg
+        app.handle("GET", "/v1/health", b"")
+        text = _metrics_text(app)
     assert "unrelated_total 1" in text
     assert _metric_value(text, "serving_requests_total", endpoint="health") == 1
 
 
-def test_disabled_metrics_404_and_skip_instruments(artifact_path):
-    with _serve(artifact_path, metrics_enabled=False) as srv:
-        with PredictionClient(srv.host, srv.port) as cli:
-            cli.predict(26, (26, 65))
-            assert cli.stats()["metrics_enabled"] is False
-            with pytest.raises(ServingError, match="metrics_enabled"):
-                cli.metrics_text()
-        assert srv.metrics is None
+def test_disabled_metrics_404_and_skip_instruments(serve):
+    with serve(metrics_enabled=False) as app:
+        assert _predict(app, 26, (26, 65)).status == 200
+        stats = json.loads(app.handle("GET", "/v1/stats", b"").body)
+        assert stats["metrics_enabled"] is False
+        assert app.handle("GET", "/metrics", b"").status == 404
+        assert app.metrics is None

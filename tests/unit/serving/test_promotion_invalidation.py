@@ -7,15 +7,17 @@ itself is atomic; this one proves the serving cache cannot serve values
 computed under a displaced model.
 """
 
+import contextlib
+import json
 import threading
 
 import pytest
 
 from repro.config import ServingConfig
 from repro.core.contender import Contender
+from repro.serving import RegistryModelProvider, ServingApp
 from repro.serving.cache import PredictionCache
 from repro.serving.registry import ModelRegistry, save_artifact
-from repro.serving.server import PredictionServer
 
 MIX = (26, 65)
 
@@ -77,7 +79,7 @@ def test_concurrent_bumps_are_monotonic():
 
 
 # ----------------------------------------------------------------------
-# The fence wired through a live server.
+# The fence wired through a live serving app.
 
 
 @pytest.fixture(scope="module")
@@ -97,45 +99,52 @@ def artifacts(small_contender, small_training_data, tmp_path_factory):
     return paths
 
 
-def _server(registry):
-    return PredictionServer(
-        registry, config=ServingConfig(port=0, metrics_enabled=False)
+@contextlib.contextmanager
+def _app(registry):
+    app = ServingApp(
+        RegistryModelProvider(registry, "default"),
+        config=ServingConfig(metrics_enabled=False),
     )
+    try:
+        yield app
+    finally:
+        app.close()
 
 
-def _predict(server, primary, mix):
-    from repro.serving.protocol import PredictRequest
-
-    return server._predict(PredictRequest(primary=primary, mix=mix)).latency
+def _predict(app, primary, mix):
+    body = json.dumps({"primary": primary, "mix": list(mix)}).encode()
+    response = app.handle("POST", "/v1/predict", body)
+    assert response.status == 200
+    return json.loads(response.body)["latency"]
 
 
 def test_registry_swap_bumps_generation_and_empties_cache(artifacts):
     registry = ModelRegistry()
     registry.register("default", artifacts[0])
-    with _server(registry) as server:
-        client_response = _predict(server, 26, MIX)
-        stats = server._cache.stats()
+    with _app(registry) as app:
+        before = _predict(app, 26, MIX)
+        stats = app.cache.stats()
         assert stats.size == 1 and stats.generation == 1
 
         # A lifecycle promotion re-registers the same name over a new
-        # artifact; the server's subscription must flush the cache.
+        # artifact; the app's subscription must flush the cache.
         registry.register("default", artifacts[1])
-        stats = server._cache.stats()
+        stats = app.cache.stats()
         assert stats.generation == 2
         assert stats.size == 0
 
-        after = _predict(server, 26, MIX)
-        assert after != client_response  # new model answers
+        after = _predict(app, 26, MIX)
+        assert after != before  # new model answers
 
 
 def test_swap_of_another_model_does_not_flush(artifacts):
     registry = ModelRegistry()
     registry.register("default", artifacts[0])
-    with _server(registry) as server:
-        _predict(server, 26, MIX)
+    with _app(registry) as app:
+        _predict(app, 26, MIX)
         registry.register("shadow", artifacts[1])  # first registration
         registry.register("shadow", artifacts[0])  # swap of another name
-        stats = server._cache.stats()
+        stats = app.cache.stats()
         assert stats.generation == 1 and stats.size == 1
 
 
@@ -144,11 +153,11 @@ def test_rollback_flip_cannot_resurface_pre_flip_entries(artifacts):
     # not come back when A returns, even though the model is identical.
     registry = ModelRegistry()
     registry.register("default", artifacts[0])
-    with _server(registry) as server:
-        _predict(server, 26, MIX)
+    with _app(registry) as app:
+        _predict(app, 26, MIX)
         registry.register("default", artifacts[1])
         registry.register("default", artifacts[0])
-        stats = server._cache.stats()
+        stats = app.cache.stats()
         assert stats.generation == 3
         assert stats.size == 0
 
@@ -156,8 +165,8 @@ def test_rollback_flip_cannot_resurface_pre_flip_entries(artifacts):
 def test_in_flight_batch_write_is_fenced_by_the_flip(artifacts):
     registry = ModelRegistry()
     registry.register("default", artifacts[0])
-    with _server(registry) as server:
-        cache = server._cache
+    with _app(registry) as app:
+        cache = app.cache
         generation = cache.generation
         # Simulate a batch that snapshotted (entry, generation), then
         # lost the race with a promotion before its put().

@@ -127,6 +127,82 @@ def test_serve_schema_mismatch_fails_cleanly(
     assert "Traceback" not in err
 
 
+def test_serve_without_fork_fails_instead_of_falling_back(
+    tmp_path, capsys, monkeypatch, small_contender
+):
+    import repro.serving.frontend as frontend
+    from repro.serving import save_artifact
+
+    artifact = tmp_path / "model.json"
+    save_artifact(small_contender, artifact)
+    monkeypatch.setattr(
+        frontend, "multiworker_supported", lambda: (False, "no fork")
+    )
+    assert main(["serve", str(artifact), "--workers", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "no fork" in captured.err
+    assert "serving" not in captured.out
+
+
+def test_serve_help_names_no_threaded_fallback(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--help"])
+    assert exit_info.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "threaded" not in help_text
+    assert "fall" not in help_text
+    assert "1 forks one worker" in help_text
+    assert "requires fork" in help_text
+
+
+def test_serve_one_worker_until_sigterm(tmp_path, capsys, small_contender):
+    import os
+    import signal
+    import socket
+    import threading
+    import time
+
+    from repro.serving import PredictionClient, save_artifact
+
+    artifact = tmp_path / "model.json"
+    save_artifact(small_contender, artifact)
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    seen = {}
+    original = signal.getsignal(signal.SIGTERM)
+
+    def drive():
+        # Signal only once serve_forever owns SIGTERM; before that the
+        # original action could kill the test process.
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            if signal.getsignal(signal.SIGTERM) is not original:
+                break
+            time.sleep(0.02)
+        else:
+            return
+        with PredictionClient("127.0.0.1", port, timeout=10.0) as cli:
+            seen["health"] = cli.health()
+        os.kill(os.getpid(), signal.SIGTERM)
+
+    thread = threading.Thread(target=drive)
+    thread.start()
+    try:
+        code = main([
+            "serve", str(artifact), "--host", "127.0.0.1",
+            "--port", str(port), "--workers", "1",
+        ])
+    finally:
+        thread.join()
+    assert code == 0
+    assert seen["health"].workers["count"] == 1
+    out = capsys.readouterr().out
+    assert f"with 1 worker(s) on http://127.0.0.1:{port}" in out
+    assert "shutting down" in out
+
+
 def test_load_test_requires_exactly_one_target(tmp_path, capsys):
     assert main(["load-test"]) == 2
     err = capsys.readouterr().err
@@ -142,12 +218,12 @@ def test_stats_command_against_live_server(
     import json
 
     from repro.config import ServingConfig
-    from repro.serving import PredictionClient, PredictionServer, save_artifact
+    from repro.serving import MultiWorkerServer, PredictionClient, save_artifact
 
     artifact = tmp_path / "model.json"
     save_artifact(small_contender, artifact)
     config = ServingConfig(port=0, workers=1, batch_window=0.0)
-    with PredictionServer.from_artifact(artifact, config=config) as srv:
+    with MultiWorkerServer(artifact, config) as srv:
         with PredictionClient(srv.host, srv.port) as cli:
             cli.predict(26, (26, 65))
         url = f"{srv.host}:{srv.port}"
@@ -271,7 +347,7 @@ def test_stats_shows_lifecycle_detector_state(
     import json
 
     from repro.config import LifecycleConfig, ServingConfig
-    from repro.serving import PredictionClient, PredictionServer, save_artifact
+    from repro.serving import MultiWorkerServer, PredictionClient, save_artifact
 
     artifact = tmp_path / "model.json"
     save_artifact(small_contender, artifact)
@@ -279,9 +355,7 @@ def test_stats_shows_lifecycle_detector_state(
     lifecycle = LifecycleConfig(
         reference_window=4, test_window=2, min_samples=4, residual_window=16
     )
-    with PredictionServer.from_artifact(
-        artifact, config=config, lifecycle=lifecycle
-    ) as srv:
+    with MultiWorkerServer(artifact, config, lifecycle=lifecycle) as srv:
         with PredictionClient(srv.host, srv.port) as cli:
             latency = cli.predict(26, (26, 65)).latency
             for _ in range(4):
